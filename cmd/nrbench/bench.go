@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"netrecovery/internal/core"
-	"netrecovery/internal/degrade"
 	"netrecovery/internal/demand"
 	"netrecovery/internal/disruption"
 	"netrecovery/internal/ensemble"
@@ -22,6 +21,7 @@ import (
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/lp"
 	"netrecovery/internal/milp"
+	"netrecovery/internal/pipeline"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
 	"netrecovery/internal/topology"
@@ -193,20 +193,16 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 
 	// cached_plan_hit: the serving-path cost of answering a plan request
 	// whose scenario is already cached — one fingerprint computation plus a
-	// cache lookup, no solver. Primed with one fast-ISP solve; the row's
-	// solve callback must never run again.
-	cache := plancache.New(plancache.Config{})
+	// cache lookup through the plan pipeline, no solver. Primed with one
+	// fast-ISP solve; every later call must be a hit.
 	fastParams := heuristics.Params{Fast: true}
-	hitKey := func() plancache.Key {
-		return plancache.Key{Fingerprint: s.Fingerprint(), Algorithm: "ISP", Options: plancache.ParamsDigest(fastParams)}
-	}
-	primeSolver, err := heuristics.New("ISP", fastParams)
+	fastSolver, err := heuristics.New("ISP", fastParams)
 	if err != nil {
 		return report, err
 	}
-	if _, _, _, err := cache.Do(ctx, hitKey(), func(ctx context.Context) (*scenario.Plan, error) {
-		return primeSolver.Solve(ctx, s)
-	}); err != nil {
+	hitReq := pipeline.Request{Scenario: s, Algorithm: "ISP", Params: fastParams, Solver: fastSolver}
+	hitPipeline := pipeline.Pipeline{Cache: plancache.New(plancache.Config{})}
+	if _, err := hitPipeline.Plan(ctx, hitReq); err != nil {
 		return report, fmt.Errorf("bench: cache priming solve failed: %w", err)
 	}
 
@@ -303,30 +299,31 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 		}
 	}
 
-	// fallback_isp_under_budget: the graceful-degradation serving row — a
-	// deadline-budgeted fallback chain whose primary stage fails immediately
-	// (a downed exact solver) and whose fast-ISP fallback answers inside the
-	// budget. It measures the chain machinery plus the fallback solve: the
-	// latency a degraded /v1/plan response pays over a plain fast-ISP one
-	// (compare against isp_iteration_fast).
-	fallbackSolver, err := heuristics.New("ISP", fastParams)
+	// fallback_isp_under_budget: the graceful-degradation serving row — the
+	// plan pipeline's deadline-budgeted chain with a downed exact primary
+	// (its solve wrapper fails OPT immediately) and a fast-ISP fallback that
+	// answers inside the budget. It measures the chain machinery plus the
+	// fallback solve: the latency a degraded /v1/plan response pays over a
+	// plain fast-ISP one (compare against isp_iteration_fast).
+	optSolver, err := heuristics.New("OPT", heuristics.Params{})
 	if err != nil {
 		return report, err
 	}
 	errPrimaryDown := errors.New("bench: primary solver down")
-	degradedSolve := func() {
-		stages := []degrade.Stage{
-			{Name: "primary", Level: degrade.LevelNone, Fraction: 0.6,
-				Run: func(context.Context) (*scenario.Plan, error) { return nil, errPrimaryDown }},
-			{Name: "fallback_isp", Level: degrade.LevelFallback,
-				Run: func(c context.Context) (*scenario.Plan, error) { return fallbackSolver.Solve(c, s) }},
+	downedPrimary := pipeline.Pipeline{Solve: func(ctx context.Context, alg string, solver heuristics.Solver, s *scenario.Scenario) (*scenario.Plan, error) {
+		if alg == "OPT" {
+			return nil, errPrimaryDown
 		}
-		res, err := degrade.Execute(ctx, stages, degrade.Options{Deadline: 30 * time.Second})
+		return solver.Solve(ctx, s)
+	}}
+	degradedReq := pipeline.Request{Scenario: s, Algorithm: "OPT", Solver: optSolver, Deadline: 30 * time.Second}
+	degradedSolve := func() {
+		res, err := downedPrimary.Plan(ctx, degradedReq)
 		if err != nil {
 			panic(err)
 		}
-		if res.ServedBy != "fallback_isp" {
-			panic(fmt.Sprintf("fallback row served by %q", res.ServedBy))
+		if res.Chain.ServedBy != "fallback_isp" {
+			panic(fmt.Sprintf("fallback row served by %q", res.Chain.ServedBy))
 		}
 	}
 
@@ -367,11 +364,9 @@ func runBenchSuite(ctx context.Context) (benchReport, error) {
 		{"isp_iteration_exact", 3, mustSolve(core.Options{Routability: flow.Options{Mode: flow.ModeExact}})},
 		{"isp_iteration_fast", 10, mustSolve(core.FastOptions())},
 		{"cached_plan_hit", 1000, func() {
-			_, outcome, _, err := cache.Do(ctx, hitKey(), func(context.Context) (*scenario.Plan, error) {
-				panic("cached_plan_hit must never solve")
-			})
-			if err != nil || outcome != plancache.Hit {
-				panic(fmt.Sprintf("cached_plan_hit: outcome=%v err=%v", outcome, err))
+			res, err := hitPipeline.Plan(ctx, hitReq)
+			if err != nil || res.Status != pipeline.StatusHit {
+				panic(fmt.Sprintf("cached_plan_hit: res=%+v err=%v", res, err))
 			}
 		}},
 		{"replan_cold", 10, func() {

@@ -37,13 +37,13 @@ import (
 	"strings"
 	"time"
 
-	"netrecovery/internal/degrade"
 	"netrecovery/internal/demand"
 	"netrecovery/internal/disruption"
 	"netrecovery/internal/experiments"
 	"netrecovery/internal/flow"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
+	"netrecovery/internal/pipeline"
 	"netrecovery/internal/progressive"
 	"netrecovery/internal/scenario"
 	"netrecovery/internal/topology"
@@ -208,26 +208,25 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var (
-		plan *scenario.Plan
-		deg  *degrade.Result
-	)
-	if *deadline > 0 {
-		deg, err = solveWithDeadline(context.Background(), s, solver, *solverName, *fast, *optWorkers, onStats, *deadline)
-		if deg != nil {
-			plan = deg.Plan
-		}
-	} else {
-		plan, err = solver.Solve(context.Background(), s)
-	}
+	// The CLI has no plan cache: with -deadline the chain's stale stage is
+	// reported skipped.
+	res, err := (&pipeline.Pipeline{}).Plan(context.Background(), pipeline.Request{
+		Scenario:  s,
+		Algorithm: *solverName,
+		Params:    heuristics.Params{Fast: *fast, OPTTimeLimit: *optTime, OPTWorkers: *optWorkers, OnStats: onStats},
+		Solver:    solver,
+		Deadline:  *deadline,
+	})
 	if err != nil {
 		return err
 	}
+	plan := res.Plan
 	if err := scenario.VerifyPlan(s, plan); err != nil {
 		return fmt.Errorf("produced plan failed verification: %w", err)
 	}
+	deg := wire.FromDegradation(res.Chain, *deadline)
 	if *jsonOut {
-		return printPlanJSON(stdout, s, plan, *stages, degradationJSON(deg, *deadline))
+		return printPlanJSON(stdout, s, plan, *stages, deg)
 	}
 	printPlan(stdout, s, plan)
 	printDegradation(stdout, deg, *deadline)
@@ -242,68 +241,16 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// solveWithDeadline runs the CLI solve through the deadline-budgeted
-// fallback chain: the selected solver under the bulk of the budget, then
-// fast ISP. The CLI has no plan cache, so there is no stale stage.
-func solveWithDeadline(ctx context.Context, s *scenario.Scenario, solver heuristics.Solver, name string, fast bool, optWorkers int, onStats heuristics.StatsFunc, deadline time.Duration) (*degrade.Result, error) {
-	stages := []degrade.Stage{{
-		Name:  "primary",
-		Level: degrade.LevelNone,
-		Run:   func(c context.Context) (*scenario.Plan, error) { return solver.Solve(c, s) },
-	}}
-	if !(name == "ISP" && fast) {
-		stages[0].Fraction = 0.6
-		fallback, err := heuristics.New("ISP", heuristics.Params{Fast: true, OPTWorkers: optWorkers, OnStats: onStats})
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, degrade.Stage{
-			Name:  "fallback_isp",
-			Level: degrade.LevelFallback,
-			Run:   func(c context.Context) (*scenario.Plan, error) { return fallback.Solve(c, s) },
-		})
-	}
-	return degrade.Execute(ctx, stages, degrade.Options{Deadline: deadline})
-}
-
-// degradationJSON converts a chain result into the wire annotation the
-// nrserved daemon attaches to degraded responses (nil when the chain did
-// not run).
-func degradationJSON(deg *degrade.Result, deadline time.Duration) *wire.Degradation {
-	if deg == nil {
-		return nil
-	}
-	d := &wire.Degradation{
-		Level:      deg.Level.String(),
-		ServedBy:   deg.ServedBy,
-		DeadlineMS: deadline.Milliseconds(),
-		Retries:    deg.Retries,
-	}
-	for _, st := range deg.Stages {
-		ts := wire.StageTiming{
-			Stage:     st.Name,
-			Outcome:   st.Outcome,
-			Attempts:  st.Attempts,
-			ElapsedMS: st.Elapsed.Milliseconds(),
-		}
-		if st.Err != nil {
-			ts.Error = st.Err.Error()
-		}
-		d.Stages = append(d.Stages, ts)
-	}
-	return d
-}
-
 // printDegradation summarises the fallback chain after the plan (text mode).
-func printDegradation(w io.Writer, deg *degrade.Result, deadline time.Duration) {
+func printDegradation(w io.Writer, deg *wire.Degradation, deadline time.Duration) {
 	if deg == nil {
 		return
 	}
 	fmt.Fprintf(w, "\ndeadline %v: served by %s (degradation level %s)\n", deadline, deg.ServedBy, deg.Level)
 	for _, st := range deg.Stages {
-		line := fmt.Sprintf("  %-12s %s", st.Name, st.Outcome)
-		if st.Err != nil {
-			line += ": " + st.Err.Error()
+		line := fmt.Sprintf("  %-12s %s", st.Stage, st.Outcome)
+		if st.Error != "" {
+			line += ": " + st.Error
 		}
 		fmt.Fprintln(w, line)
 	}

@@ -17,6 +17,7 @@ import (
 	"netrecovery/internal/obs"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
+	"netrecovery/internal/splitmix"
 	"netrecovery/internal/wire"
 )
 
@@ -275,7 +276,7 @@ func (c *Cluster) jitteredTimeout() time.Duration {
 		return c.cfg.FillTimeout
 	}
 	n := c.jitterSeq.Add(1)
-	u := float64(splitmix64(c.cfg.Seed^n*0x9e3779b97f4a7c15)>>11) / float64(uint64(1)<<53)
+	u := float64(splitmix.Next(c.cfg.Seed^n*0x9e3779b97f4a7c15)>>11) / float64(uint64(1)<<53)
 	return c.cfg.FillTimeout - time.Duration(j*u*float64(c.cfg.FillTimeout))
 }
 

@@ -19,16 +19,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sort"
-)
 
-// splitmix64 is the repo-wide deterministic PRNG step (same constants as
-// internal/ensemble and internal/degrade).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+	"netrecovery/internal/splitmix"
+)
 
 // addrHash64 hashes a peer address into the 64-bit space of the ring.
 func addrHash64(addr string) uint64 {
@@ -106,7 +99,7 @@ func NewRing(peers []string, vnodes int) *Ring {
 			point := binary.BigEndian.Uint64(sum[:8])
 			r.points = append(r.points, ringPoint{
 				point: point,
-				rank:  splitmix64(point ^ base),
+				rank:  splitmix.Next(point ^ base),
 				peer:  i,
 			})
 		}

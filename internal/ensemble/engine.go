@@ -11,6 +11,7 @@ import (
 	"netrecovery/internal/degrade"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
+	"netrecovery/internal/pipeline"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
 	"netrecovery/internal/sweep"
@@ -71,8 +72,8 @@ type Spec struct {
 	// cache: an ensemble re-run (or one overlapping another request's
 	// scenarios) answers repeats in ~µs. Within one run fingerprint dedup
 	// already guarantees at most one solve per unique scenario. A cache
-	// shard fault (plancache.UnavailableError) downgrades that unique to a
-	// direct uncached solve instead of failing its samples.
+	// shard fault downgrades that unique to a direct uncached solve
+	// instead of failing its samples.
 	Cache *plancache.Cache
 	// Retry, when configured with MaxAttempts > 1, retries transient
 	// per-unique solve failures (injected faults, shard hiccups) with the
@@ -134,10 +135,9 @@ type unique struct {
 	fp    [32]byte
 	count int
 
-	plan    *scenario.Plan
-	outcome plancache.Outcome
-	cached  bool // plan came through the cache (outcome meaningful)
-	errStr  string
+	plan   *scenario.Plan
+	status string // the pipeline's cache status; "" when the solve failed
+	errStr string
 }
 
 // Run executes the ensemble: draw Samples disruptions, deduplicate by
@@ -214,7 +214,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	if _, err := heuristics.New(spec.Algorithm, params); err != nil {
 		return nil, err
 	}
-	optionsDigest := plancache.ParamsDigest(params)
+	plans := pipeline.Pipeline{Cache: spec.Cache, Retry: spec.Retry}
 	var (
 		progressMu sync.Mutex
 		done       int
@@ -231,47 +231,21 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	err := sweep.ForEach(ctx, spec.Workers, len(uniques), func(ctx context.Context, i int) error {
 		u := uniques[i]
-		solveOnce := func(ctx context.Context) (*scenario.Plan, error) {
-			// A fresh solver per solve: registry factories hand out
-			// independent instances, keeping the pool data-race free.
-			// Registry solvers arrive panic-guarded (heuristics.Guard), so
-			// a solver bug fails this unique's samples, never the run.
-			solver, err := heuristics.New(spec.Algorithm, params)
-			if err != nil {
-				return nil, err
-			}
-			return solver.Solve(ctx, u.scn)
+		// A fresh solver per unique: registry factories hand out
+		// independent instances, keeping the pool data-race free. Registry
+		// solvers arrive panic-guarded (heuristics.Guard), so a solver bug
+		// fails this unique's samples, never the run.
+		solver, err := heuristics.New(spec.Algorithm, params)
+		if err != nil {
+			return err
 		}
-		solve := func(ctx context.Context) (*scenario.Plan, error) {
-			var plan *scenario.Plan
-			_, err := spec.Retry.Retry(ctx, func() error {
-				p, serr := solveOnce(ctx)
-				if serr != nil {
-					return serr
-				}
-				plan = p
-				return nil
-			})
-			return plan, err
-		}
-		var (
-			plan *scenario.Plan
-			err  error
-		)
-		if spec.Cache != nil {
-			key := plancache.Key{Fingerprint: u.fp, Algorithm: spec.Algorithm, Options: optionsDigest}
-			plan, u.outcome, _, err = spec.Cache.Do(ctx, key, solve)
-			u.cached = true
-			var unavailable *plancache.UnavailableError
-			if errors.As(err, &unavailable) {
-				// The cache shard failed, not the solver: downgrade this
-				// unique to a direct uncached solve.
-				u.cached = false
-				plan, err = solve(ctx)
-			}
-		} else {
-			plan, err = solve(ctx)
-		}
+		res, err := plans.Plan(ctx, pipeline.Request{
+			Scenario:    u.scn,
+			Fingerprint: u.fp,
+			Algorithm:   spec.Algorithm,
+			Params:      params,
+			Solver:      solver,
+		})
 		if err != nil {
 			// Cancellation aborts the whole run; any other failure is
 			// isolated to this unique scenario's samples.
@@ -282,7 +256,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 			advance(u.count)
 			return nil
 		}
-		u.plan = plan
+		u.plan, u.status = res.Plan, res.Status
 		advance(u.count)
 		return nil
 	})
@@ -311,17 +285,13 @@ func aggregate(spec Spec, uniques []*unique) *Report {
 	evaluated := make([]*unique, 0, len(uniques))
 	evaluatedSamples := 0
 	for _, u := range uniques {
-		if !u.cached {
-			rep.Solves++ // direct solve (attempted even when it failed)
-		} else {
-			switch u.outcome {
-			case plancache.Hit:
-				rep.CacheHits++
-			case plancache.Coalesced:
-				rep.Coalesced++
-			default:
-				rep.Solves++
-			}
+		switch u.status {
+		case pipeline.StatusHit:
+			rep.CacheHits++
+		case pipeline.StatusCoalesced:
+			rep.Coalesced++
+		default:
+			rep.Solves++ // solved here (attempted even when it failed)
 		}
 		if u.plan == nil {
 			rep.Failures++

@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"netrecovery/internal/splitmix"
 )
 
 // Point names the places faults can be injected. These strings are pinned
@@ -149,13 +151,6 @@ func Snapshot() Stats {
 	}
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 func pointHash(pt Point) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(pt))
@@ -200,14 +195,14 @@ func Fire(ctx context.Context, pt Point) error {
 		}
 	}
 	if spec.PanicRate > 0 || spec.ErrorRate > 0 {
-		u := splitmix64(a.profile.Seed ^ pointHash(pt) ^ n*0x9e3779b97f4a7c15)
+		u := splitmix.Next(a.profile.Seed ^ pointHash(pt) ^ n*0x9e3779b97f4a7c15)
 		if spec.PanicRate > 0 && u <= rateThreshold(spec.PanicRate) {
 			a.stats.panics.Add(1)
 			panic(PanicValue{Point: pt})
 		}
 		// The error decision uses an independent draw so panic and error
 		// rates compose without overlapping on the same low values.
-		u2 := splitmix64(u)
+		u2 := splitmix.Next(u)
 		if spec.ErrorRate > 0 && u2 <= rateThreshold(spec.ErrorRate) {
 			a.stats.errors.Add(1)
 			return &InjectedError{Point: pt}

@@ -18,6 +18,14 @@ import (
 // the compacted plan bytes.
 func planVia(t *testing.T, target string, body []byte) (string, []byte) {
 	t.Helper()
+	cache, _, plan := planResponse(t, target, body)
+	return cache.Status, plan
+}
+
+// planResponse posts body to target's /v1/plan and returns the cache block,
+// the degradation annotation and the compacted plan bytes.
+func planResponse(t *testing.T, target string, body []byte) (wire.CacheInfo, *wire.Degradation, []byte) {
+	t.Helper()
 	resp, err := http.Post(target+"/v1/plan", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -31,8 +39,9 @@ func planVia(t *testing.T, target string, body []byte) (string, []byte) {
 		t.Fatalf("POST /v1/plan: %d: %s", resp.StatusCode, raw)
 	}
 	var parsed struct {
-		Plan  json.RawMessage `json:"plan"`
-		Cache wire.CacheInfo  `json:"cache"`
+		Plan        json.RawMessage   `json:"plan"`
+		Cache       wire.CacheInfo    `json:"cache"`
+		Degradation *wire.Degradation `json:"degradation"`
 	}
 	if err := json.Unmarshal(raw, &parsed); err != nil {
 		t.Fatal(err)
@@ -41,7 +50,7 @@ func planVia(t *testing.T, target string, body []byte) (string, []byte) {
 	if err := json.Compact(&compact, parsed.Plan); err != nil {
 		t.Fatal(err)
 	}
-	return parsed.Cache.Status, compact.Bytes()
+	return parsed.Cache, parsed.Degradation, compact.Bytes()
 }
 
 // itemFingerprints rebuilds the scenario fingerprints of a population (the
@@ -109,6 +118,39 @@ func TestPeerFillE2E(t *testing.T) {
 	}
 	if nonOwnerStats.Fills != 1 || nonOwnerStats.Hits != 1 {
 		t.Fatalf("non-owner cluster stats = %+v, want fills=1 hits=1", nonOwnerStats)
+	}
+}
+
+// TestPeerFillUnderDeadline: with a server-wide degradation deadline every
+// plan request answers through the fallback chain, and a non-owner's miss
+// still peer-fills from the owner inside the chain's primary stage.
+func TestPeerFillUnderDeadline(t *testing.T) {
+	lc, err := StartLocal(3, server.Config{DegradeDeadline: 5 * time.Second}, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	items, err := buildPopulation(Spec{Scenarios: 1, Fast: true, Topology: "grid:4x4"}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := itemFingerprints(t, items)[0]
+	owner, nonOwner := lc.Owner(fp), lc.NonOwner(fp)
+
+	status, ownerPlan := planVia(t, owner, items[0].planBody)
+	if status != "miss" {
+		t.Fatalf("owner solve: status %q, want miss", status)
+	}
+	cache, deg, peerPlan := planResponse(t, nonOwner, items[0].planBody)
+	if cache.Status != "peer" {
+		t.Fatalf("non-owner under a deadline: status %q, want peer", cache.Status)
+	}
+	if !bytes.Equal(ownerPlan, peerPlan) {
+		t.Fatalf("peer-filled plan differs:\nowner %s\n peer %s", ownerPlan, peerPlan)
+	}
+	if deg == nil || deg.Level != "none" || deg.ServedBy != "primary" {
+		t.Fatalf("degradation = %+v, want level none served by primary", deg)
 	}
 }
 

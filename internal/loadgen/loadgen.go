@@ -34,6 +34,7 @@ import (
 	"netrecovery/internal/disruption"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/scenario"
+	"netrecovery/internal/splitmix"
 	"netrecovery/internal/topology"
 	"netrecovery/internal/wire"
 )
@@ -153,14 +154,6 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// splitmix64 is the repo-wide deterministic PRNG step.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // parseTopology builds the base graph named by spec ("grid:RxC" or
 // "bell-canada").
 func parseTopology(name string) (*graph.Graph, error) {
@@ -203,13 +196,13 @@ func buildPopulation(spec Spec) ([]workItem, error) {
 		return nil, err
 	}
 	dg, err := demand.GenerateFarApartPairs(g, spec.Pairs, spec.Flow,
-		rand.New(rand.NewSource(int64(splitmix64(spec.Seed^0xd3)))))
+		rand.New(rand.NewSource(int64(splitmix.Next(spec.Seed^0xd3)))))
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: demand generation: %w", err)
 	}
 	items := make([]workItem, spec.Scenarios)
 	for i := range items {
-		rng := rand.New(rand.NewSource(int64(splitmix64(spec.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15))))
+		rng := rand.New(rand.NewSource(int64(splitmix.Next(spec.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15))))
 		d := disruption.Random(g, 0.15, 0.25, rng)
 		s := &scenario.Scenario{Supply: g, Demand: dg, BrokenNodes: d.Nodes, BrokenEdges: d.Edges}
 		ws := wire.FromScenario(fmt.Sprintf("load-%d", i), s)
@@ -399,7 +392,7 @@ type workerState struct {
 }
 
 func (r *runner) newWorkerState(w int) *workerState {
-	rng := rand.New(rand.NewSource(int64(splitmix64(r.spec.Seed ^ uint64(w+1)*0xbf58476d1ce4e5b9))))
+	rng := rand.New(rand.NewSource(int64(splitmix.Next(r.spec.Seed ^ uint64(w+1)*0xbf58476d1ce4e5b9))))
 	return &workerState{
 		rng:  rng,
 		zipf: rand.NewZipf(rng, r.spec.ZipfS, r.spec.ZipfV, uint64(len(r.items)-1)),

@@ -7,14 +7,11 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"time"
 
 	"netrecovery/internal/degrade"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/obs"
-	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
-	"netrecovery/internal/wire"
 )
 
 // Priority classes for admission-queue load shedding, least important
@@ -207,177 +204,4 @@ func (srv *Server) retrySolve(ctx context.Context, alg string, solver heuristics
 		return nil, err
 	}
 	return plan, nil
-}
-
-// primaryFraction is the slice of the degradation deadline granted to the
-// requested solver when a cheaper fallback stage exists behind it; the
-// fallback gets whatever the primary leaves.
-const primaryFraction = 0.6
-
-// solveDegraded runs a plan request through the deadline-budgeted fallback
-// chain: the requested solver under a slice of the deadline, then a
-// fast-ISP fallback under the remaining budget, then a stale-but-served
-// cache entry. Every stage's outcome and timing is annotated on the
-// response; a served plan carries the stage's degradation level.
-func (srv *Server) solveDegraded(ctx context.Context, req wire.PlanRequest, s *scenario.Scenario, alg string, params heuristics.Params, solver heuristics.Solver, deadline time.Duration) (*solveOutcome, *httpError) {
-	out := &solveOutcome{scenario: s, fp: s.FingerprintHex()}
-	primaryKey := plancache.Key{
-		Fingerprint: s.Fingerprint(),
-		Algorithm:   alg,
-		Options:     plancache.ParamsDigest(params),
-	}
-
-	// solveStage runs one solver stage through the cache (unless bypassed),
-	// falling back to a direct solve when the cache shard itself is the
-	// injected failure; it records how the serving stage obtained the plan.
-	solveStage := func(stageCtx context.Context, stageAlg string, stageSolver heuristics.Solver, key plancache.Key) (*scenario.Plan, error) {
-		if req.Options.NoCache {
-			plan, err := srv.runSolve(stageCtx, stageAlg, stageSolver, s, prioPlan)
-			if err == nil {
-				out.status, out.age = "bypass", 0
-			}
-			return plan, err
-		}
-		plan, outcome, age, err := srv.cache.Do(stageCtx, key, func(c context.Context) (*scenario.Plan, error) {
-			return srv.runSolve(c, stageAlg, stageSolver, s, prioPlan)
-		})
-		var unavailable *plancache.UnavailableError
-		if errors.As(err, &unavailable) {
-			plan, err = srv.runSolve(stageCtx, stageAlg, stageSolver, s, prioPlan)
-			if err == nil {
-				out.status, out.age = "bypass", 0
-			}
-			return plan, err
-		}
-		if err == nil {
-			out.status, out.age = outcome.String(), age
-		}
-		return plan, err
-	}
-
-	stages := []degrade.Stage{{
-		Name:     "primary",
-		Level:    degrade.LevelNone,
-		Fraction: 0, // adjusted below when a fallback stage exists
-		Retry:    true,
-		Skip: func() string {
-			if srv.breakerFor(alg).Blocked() {
-				return "circuit breaker open for " + alg
-			}
-			return ""
-		},
-		Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-			return solveStage(stageCtx, alg, solver, primaryKey)
-		},
-	}}
-
-	// The fallback stage is fast ISP — the paper's polynomial heuristic in
-	// greedy split mode, the cheapest solver that still optimises. When the
-	// request already asks for exactly that, a separate fallback stage
-	// would re-run the identical solve, so it is omitted.
-	fallbackParams := heuristics.Params{Fast: true, OPTWorkers: params.OPTWorkers, OnStats: params.OnStats}
-	haveFallback := !(alg == "ISP" && params.Fast)
-	var fallbackKey plancache.Key
-	if haveFallback {
-		stages[0].Fraction = primaryFraction
-		fallbackSolver, err := heuristics.New("ISP", fallbackParams)
-		if err != nil {
-			return nil, &httpError{code: http.StatusInternalServerError, err: err}
-		}
-		fallbackKey = plancache.Key{
-			Fingerprint: s.Fingerprint(),
-			Algorithm:   "ISP",
-			Options:     plancache.ParamsDigest(fallbackParams),
-		}
-		stages = append(stages, degrade.Stage{
-			Name:  "fallback_isp",
-			Level: degrade.LevelFallback,
-			Retry: true,
-			Skip: func() string {
-				if srv.breakerFor("ISP").Blocked() {
-					return "circuit breaker open for ISP"
-				}
-				return ""
-			},
-			Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-				return solveStage(stageCtx, "ISP", fallbackSolver, fallbackKey)
-			},
-		})
-	}
-
-	stages = append(stages, degrade.Stage{
-		Name:  "stale_cache",
-		Level: degrade.LevelStale,
-		Free:  true,
-		Skip: func() string {
-			if req.Options.NoCache {
-				return "cache disabled by request"
-			}
-			return ""
-		},
-		Run: func(context.Context) (*scenario.Plan, error) {
-			if plan, age, _, ok := srv.cache.GetStale(primaryKey); ok {
-				out.status, out.age = "stale", age
-				return plan, nil
-			}
-			if haveFallback {
-				if plan, age, _, ok := srv.cache.GetStale(fallbackKey); ok {
-					out.status, out.age = "stale", age
-					return plan, nil
-				}
-			}
-			return nil, nil
-		},
-	})
-
-	res, err := degrade.Execute(ctx, stages, degrade.Options{
-		Deadline: deadline,
-		Retry:    srv.retryPolicy(),
-		Now:      srv.now,
-	})
-	if err != nil {
-		if errors.Is(err, degrade.ErrExhausted) {
-			srv.degradeExhausted.Add(1)
-			herr := &httpError{
-				code:       http.StatusServiceUnavailable,
-				err:        err,
-				retryAfter: srv.retryAfterSeconds(),
-			}
-			return nil, herr
-		}
-		return nil, solveError(err)
-	}
-
-	switch res.Level {
-	case degrade.LevelFallback:
-		srv.degradedFallback.Add(1)
-	case degrade.LevelStale:
-		srv.degradedStale.Add(1)
-	}
-	out.plan = res.Plan
-	out.degradation = degradationWire(res, deadline)
-	return out, nil
-}
-
-// degradationWire converts a chain result into its wire annotation.
-func degradationWire(res *degrade.Result, deadline time.Duration) *wire.Degradation {
-	d := &wire.Degradation{
-		Level:      res.Level.String(),
-		ServedBy:   res.ServedBy,
-		DeadlineMS: deadline.Milliseconds(),
-		Retries:    res.Retries,
-	}
-	for _, st := range res.Stages {
-		ts := wire.StageTiming{
-			Stage:     st.Name,
-			Outcome:   st.Outcome,
-			Attempts:  st.Attempts,
-			ElapsedMS: st.Elapsed.Milliseconds(),
-		}
-		if st.Err != nil {
-			ts.Error = st.Err.Error()
-		}
-		d.Stages = append(d.Stages, ts)
-	}
-	return d
 }

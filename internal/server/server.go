@@ -32,6 +32,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,6 +50,7 @@ import (
 	"netrecovery/internal/faultinject"
 	"netrecovery/internal/heuristics"
 	"netrecovery/internal/obs"
+	"netrecovery/internal/pipeline"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
 	"netrecovery/internal/sweep"
@@ -151,6 +153,9 @@ type Server struct {
 	breakerMu sync.Mutex
 	breakers  map[string]*degrade.Breaker
 
+	// plans answers /v1/plan requests.
+	plans pipeline.Pipeline
+
 	// routeHists are the per-route request-duration histograms behind
 	// nrserved_request_duration_seconds.
 	routeHists []*routeHistogram
@@ -206,6 +211,28 @@ func New(cfg Config) *Server {
 		breakers: make(map[string]*degrade.Breaker),
 	}
 	srv.routeHists = newRouteHistograms()
+	// Plan requests share the cache, peer-fill from the fingerprint's owner
+	// in multi-node mode (NoCache requests never peer-fill: bypass means
+	// "solve here"), and solve under admission control and the algorithm's
+	// circuit breaker.
+	srv.plans = pipeline.Pipeline{
+		Cache: cache,
+		Solve: func(ctx context.Context, alg string, solver heuristics.Solver, s *scenario.Scenario) (*scenario.Plan, error) {
+			return srv.runSolve(ctx, alg, solver, s, prioPlan)
+		},
+		Blocked: func(alg string) bool { return srv.breakerFor(alg).Blocked() },
+		Retry:   srv.retryPolicy(),
+		Now:     now,
+	}
+	if cl := cfg.Cluster; cl != nil {
+		srv.plans.Fill = func(ctx context.Context, key plancache.Key) (*scenario.Plan, bool) {
+			plan, _, ok := cl.Fill(ctx, key)
+			if ok {
+				srv.peerFilledPlans.Add(1)
+			}
+			return plan, ok
+		}
+	}
 	srv.start = now()
 	return srv
 }
@@ -302,18 +329,6 @@ func (srv *Server) requestContext(r *http.Request) (context.Context, context.Can
 	return context.WithCancel(r.Context())
 }
 
-// solveOutcome is the result of solveRequest: the solved scenario and plan
-// plus the cache disposition and (when the fallback chain ran) the
-// degradation annotation.
-type solveOutcome struct {
-	scenario    *scenario.Scenario
-	plan        *scenario.Plan
-	status      string // miss | hit | coalesced | bypass | stale | peer
-	age         time.Duration
-	fp          string
-	degradation *wire.Degradation
-}
-
 // httpError carries a status code with an error; retryAfter, when positive,
 // becomes a Retry-After header (seconds) on shed and unavailable responses.
 type httpError struct {
@@ -329,13 +344,16 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// solveRequest validates and solves one wire.PlanRequest through the cache.
-// progress, when non-nil, receives solver events if (and only if) this
-// request ends up executing the solve itself.
-func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progress heuristics.ProgressFunc) (*solveOutcome, *httpError) {
+// solveRequest validates one wire.PlanRequest, solves it through the plan
+// pipeline and builds its response: the plan with its progressive timeline,
+// the cache disposition, the degradation annotation when the fallback chain
+// ran and (on request) the traced timing breakdown. progress, when non-nil,
+// receives solver events if (and only if) this request ends up executing
+// the solve itself.
+func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progress heuristics.ProgressFunc) (wire.PlanResponse, *httpError) {
 	s, err := req.Scenario.Build()
 	if err != nil {
-		return nil, badRequest("invalid scenario: %v", err)
+		return wire.PlanResponse{}, badRequest("invalid scenario: %v", err)
 	}
 	alg := req.Algorithm
 	if alg == "" {
@@ -351,7 +369,7 @@ func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progr
 	}
 	solver, err := heuristics.New(alg, params)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return wire.PlanResponse{}, badRequest("%v", err)
 	}
 
 	// A deadline (per request, or the server-wide default) routes the solve
@@ -360,69 +378,53 @@ func (srv *Server) solveRequest(ctx context.Context, req wire.PlanRequest, progr
 	if deadline <= 0 {
 		deadline = srv.cfg.DegradeDeadline
 	}
-	if deadline > 0 && !req.Options.NoDegrade {
-		return srv.solveDegraded(ctx, req, s, alg, params, solver, deadline)
+	if req.Options.NoDegrade {
+		deadline = 0
 	}
-
-	solve := func(ctx context.Context) (*scenario.Plan, error) {
-		return srv.retrySolve(ctx, alg, solver, s, prioPlan)
-	}
-
-	out := &solveOutcome{scenario: s, fp: s.FingerprintHex()}
-	if req.Options.NoCache {
-		plan, err := solve(ctx)
-		if herr := solveError(err); herr != nil {
-			return nil, herr
-		}
-		out.plan, out.status = plan, "bypass"
-		return out, nil
-	}
-	key := plancache.Key{
-		Fingerprint: s.Fingerprint(),
+	fp := s.Fingerprint()
+	res, err := srv.plans.Plan(ctx, pipeline.Request{
+		Scenario:    s,
+		Fingerprint: fp,
 		Algorithm:   alg,
-		Options:     plancache.ParamsDigest(params),
-	}
-	// In multi-node mode a local miss on a non-owner first asks the
-	// fingerprint's owning peer for its cached plan — a plan computed
-	// anywhere in the fleet becomes a hit everywhere. The fill runs inside
-	// the cache's coalescing leader (so concurrent identical requests
-	// trigger at most one fill) and its result is stored like a local
-	// solve; any fill failure — ejected owner, open breaker, full mailbox,
-	// timeout, or the owner just not having it — falls back to the local
-	// solve. NoCache requests never peer-fill: bypass means "solve here".
-	peerFilled := false
-	cachedSolve := solve
-	if srv.cfg.Cluster != nil {
-		cachedSolve = func(ctx context.Context) (*scenario.Plan, error) {
-			if plan, _, ok := srv.cfg.Cluster.Fill(ctx, key); ok {
-				peerFilled = true
-				srv.peerFilledPlans.Add(1)
-				return plan, nil
-			}
-			return solve(ctx)
+		Params:      params,
+		Solver:      solver,
+		NoCache:     req.Options.NoCache,
+		Deadline:    deadline,
+	})
+	if errors.Is(err, degrade.ErrExhausted) {
+		srv.degradeExhausted.Add(1)
+		return wire.PlanResponse{}, &httpError{
+			code:       http.StatusServiceUnavailable,
+			err:        err,
+			retryAfter: srv.retryAfterSeconds(),
 		}
-	}
-	plan, outcome, age, err := srv.cache.Do(ctx, key, cachedSolve)
-	var unavailable *plancache.UnavailableError
-	if errors.As(err, &unavailable) {
-		// The cache shard itself failed; the solver is fine — bypass.
-		plan, err = solve(ctx)
-		if herr := solveError(err); herr != nil {
-			return nil, herr
-		}
-		out.plan, out.status = plan, "bypass"
-		return out, nil
 	}
 	if herr := solveError(err); herr != nil {
-		return nil, herr
+		return wire.PlanResponse{}, herr
 	}
-	out.plan, out.status, out.age = plan, outcome.String(), age
-	if peerFilled && outcome == plancache.Miss {
-		// This request led the solve but answered from a peer's cache;
-		// surface that in the response's cache metadata.
-		out.status = "peer"
+	if res.Chain != nil {
+		switch res.Chain.Level {
+		case degrade.LevelFallback:
+			srv.degradedFallback.Add(1)
+		case degrade.LevelStale:
+			srv.degradedStale.Add(1)
+		}
 	}
-	return out, nil
+	wp := wire.FromPlan(s, res.Plan)
+	if req.Options.StageBudget > 0 {
+		if wp, err = wp.WithStages(s, res.Plan, req.Options.StageBudget); err != nil {
+			return wire.PlanResponse{}, badRequest("%v", err)
+		}
+	}
+	resp := wire.PlanResponse{
+		Plan:        wp,
+		Cache:       wire.CacheInfo{Status: res.Status, Fingerprint: hex.EncodeToString(fp[:]), AgeMS: res.Age.Milliseconds()},
+		Degradation: wire.FromDegradation(res.Chain, deadline),
+	}
+	if req.Options.Timing {
+		resp.Timing = timingFromTrace(ctx)
+	}
+	return resp, nil
 }
 
 // solveError maps a solve failure to an HTTP status: 499 when the client
@@ -491,32 +493,6 @@ func formatFloatAttr(f float64) string {
 	return strconv.FormatFloat(f, 'g', 6, 64)
 }
 
-// buildResponse converts a solve outcome into the wire response, attaching
-// the progressive timeline and (on request) the traced timing breakdown.
-func (srv *Server) buildResponse(ctx context.Context, out *solveOutcome, opts wire.SolveOptions) (wire.PlanResponse, *httpError) {
-	wp := wire.FromPlan(out.scenario, out.plan)
-	if opts.StageBudget > 0 {
-		staged, err := wp.WithStages(out.scenario, out.plan, opts.StageBudget)
-		if err != nil {
-			return wire.PlanResponse{}, badRequest("%v", err)
-		}
-		wp = staged
-	}
-	resp := wire.PlanResponse{
-		Plan: wp,
-		Cache: wire.CacheInfo{
-			Status:      out.status,
-			Fingerprint: out.fp,
-			AgeMS:       out.age.Milliseconds(),
-		},
-		Degradation: out.degradation,
-	}
-	if opts.Timing {
-		resp.Timing = timingFromTrace(ctx)
-	}
-	return resp, nil
-}
-
 // timingFromTrace snapshots the request's trace (the spans finished so far
 // — i.e. everything but the still-open root) into the opt-in wire.Timing
 // block. Returns nil when the request is untraced.
@@ -558,12 +534,7 @@ func (srv *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
-	out, herr := srv.solveRequest(ctx, req, nil)
-	if herr != nil {
-		srv.writeError(w, herr)
-		return
-	}
-	resp, herr := srv.buildResponse(ctx, out, req.Options)
+	resp, herr := srv.solveRequest(ctx, req, nil)
 	if herr != nil {
 		srv.writeError(w, herr)
 		return
@@ -644,13 +615,7 @@ func (srv *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := srv.requestContext(r)
 	defer cancel()
-	out, herr := srv.solveRequest(ctx, req, progress)
-	if herr != nil {
-		srv.errorsTot.Add(1)
-		emit("error", wire.Error{Error: herr.Error()})
-		return
-	}
-	resp, herr := srv.buildResponse(ctx, out, req.Options)
+	resp, herr := srv.solveRequest(ctx, req, progress)
 	if herr != nil {
 		srv.errorsTot.Add(1)
 		emit("error", wire.Error{Error: herr.Error()})

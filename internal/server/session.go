@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netrecovery/internal/faultinject"
@@ -25,11 +26,14 @@ const (
 
 // session is one open planning session: an evolving scenario, the solver
 // state kept warm across its re-plans, and the SSE subscribers watching it.
-// All fields behind mu; the per-session mutex serialises re-plans so deltas
-// on one session are applied and solved in arrival order.
+// Fields below mu are behind it; the per-session mutex serialises re-plans
+// so deltas on one session are applied and solved in arrival order.
 type session struct {
 	id  string
 	alg string
+	// lastUsed (unix nanoseconds) is read by eviction and bumped by lookup
+	// without mu, so neither waits behind an in-flight re-plan.
+	lastUsed atomic.Int64
 
 	mu       sync.Mutex
 	ispSess  *heuristics.ISPSession // warm ISP state; nil for other algorithms
@@ -38,7 +42,6 @@ type session struct {
 	lastPlan *scenario.Plan
 	plans    int
 	deltas   int
-	lastUsed time.Time
 	closed   bool
 	subs     map[chan []byte]struct{}
 }
@@ -115,10 +118,7 @@ func (srv *Server) evictIdleSessions() {
 	srv.sessMu.Lock()
 	var evict []*session
 	for id, s := range srv.sessions {
-		s.mu.Lock()
-		idle := now.Sub(s.lastUsed)
-		s.mu.Unlock()
-		if idle >= ttl {
+		if now.Sub(time.Unix(0, s.lastUsed.Load())) >= ttl {
 			delete(srv.sessions, id)
 			evict = append(evict, s)
 		}
@@ -161,9 +161,7 @@ func (srv *Server) lookupSession(r *http.Request) (*session, *httpError) {
 	if !ok {
 		return nil, &httpError{code: http.StatusNotFound, err: fmt.Errorf("unknown session %q", id)}
 	}
-	s.mu.Lock()
-	s.lastUsed = srv.now()
-	s.mu.Unlock()
+	s.lastUsed.Store(srv.now().UnixNano())
 	return s, nil
 }
 
@@ -225,13 +223,13 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s := &session{
-		id:       newSessionID(),
-		alg:      alg,
-		params:   params,
-		cur:      sc,
-		lastUsed: srv.now(),
-		subs:     make(map[chan []byte]struct{}),
+		id:     newSessionID(),
+		alg:    alg,
+		params: params,
+		cur:    sc,
+		subs:   make(map[chan []byte]struct{}),
 	}
+	s.lastUsed.Store(srv.now().UnixNano())
 	if alg == "ISP" {
 		s.ispSess = heuristics.NewISPSession(params)
 	}

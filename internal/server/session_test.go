@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -318,6 +319,65 @@ func TestSessionAdmissionAccounting(t *testing.T) {
 	wg.Wait()
 	if got := srv.SolveCount() - solvesBefore; got != 2 {
 		t.Fatalf("session re-plans recorded %d solves, want 2", got)
+	}
+}
+
+// TestSessionEvictionDoesNotWaitForSolves: while one session's re-plan is
+// held inside its solver, a delta on another session and a /metrics scrape
+// (both of which run idle-session eviction) still complete.
+func TestSessionEvictionDoesNotWaitForSolves(t *testing.T) {
+	srv := New(Config{MaxInFlight: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	held := openSession(t, ts, "GATED-test")
+	other := openSession(t, ts, "")
+
+	g := &gateState{started: make(chan struct{}, 1), release: make(chan struct{})}
+	gate.Store(g)
+	defer gate.Store(nil)
+
+	delta := wire.DeltaRequest{Deltas: []wire.Delta{{Kind: wire.DeltaRepairNode, Node: 3}}}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		if code := postJSON(t, ts.URL+"/v1/session/"+held.Session.ID+"/delta", delta, nil); code != http.StatusOK {
+			t.Errorf("held delta: status %d", code)
+		}
+	}()
+	<-g.started
+	defer close(g.release)
+
+	otherDone := make(chan int, 1)
+	go func() {
+		defer wg.Done()
+		otherDone <- postJSON(t, ts.URL+"/v1/session/"+other.Session.ID+"/delta", delta, nil)
+	}()
+	metricsDone := make(chan string, 1)
+	go func() {
+		defer wg.Done()
+		metricsDone <- fetchMetrics(t, ts)
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	select {
+	case code := <-otherDone:
+		if code != http.StatusOK {
+			t.Errorf("delta on the other session: status %d", code)
+		}
+	case <-ctx.Done():
+		t.Error("delta on another session blocked behind the held re-plan")
+	}
+	select {
+	case metrics := <-metricsDone:
+		if !strings.Contains(metrics, "nrserved_sessions 2") {
+			t.Errorf("metrics during the held re-plan lack the two sessions:\n%s", metrics)
+		}
+	case <-ctx.Done():
+		t.Error("/metrics blocked behind the held re-plan")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"netrecovery/internal/degrade"
 	"netrecovery/internal/demand"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/progressive"
@@ -302,6 +303,33 @@ type Degradation struct {
 	Retries int `json:"retries,omitempty"`
 	// Stages lists every chain rung in execution order.
 	Stages []StageTiming `json:"stages"`
+}
+
+// FromDegradation converts a degrade chain's record, run under the given
+// overall deadline, into its annotation; nil when no chain ran.
+func FromDegradation(res *degrade.Result, deadline time.Duration) *Degradation {
+	if res == nil {
+		return nil
+	}
+	d := &Degradation{
+		Level:      res.Level.String(),
+		ServedBy:   res.ServedBy,
+		DeadlineMS: deadline.Milliseconds(),
+		Retries:    res.Retries,
+	}
+	for _, st := range res.Stages {
+		ts := StageTiming{
+			Stage:     st.Name,
+			Outcome:   st.Outcome,
+			Attempts:  st.Attempts,
+			ElapsedMS: st.Elapsed.Milliseconds(),
+		}
+		if st.Err != nil {
+			ts.Error = st.Err.Error()
+		}
+		d.Stages = append(d.Stages, ts)
+	}
+	return d
 }
 
 // TimingSpan is one finished span of the request's trace, surfaced in the

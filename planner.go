@@ -2,7 +2,6 @@ package netrecovery
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"netrecovery/internal/degrade"
 	"netrecovery/internal/graph"
 	"netrecovery/internal/heuristics"
+	"netrecovery/internal/pipeline"
 	"netrecovery/internal/plancache"
 	"netrecovery/internal/scenario"
 )
@@ -342,28 +342,23 @@ func (p *Planner) Plan(ctx context.Context, sc *Scenario) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cfg.deadline > 0 {
-		return p.planDegraded(ctx, sc, params, solver)
-	}
-	var inner *scenario.Plan
+	var pl pipeline.Pipeline
 	if p.cfg.cache != nil {
-		key := plancache.Key{
-			Fingerprint: sc.inner.Fingerprint(),
-			Algorithm:   string(p.cfg.alg),
-			Options:     plancache.ParamsDigest(params),
-		}
-		inner, _, _, err = p.cfg.cache.inner.Do(ctx, key, func(ctx context.Context) (*scenario.Plan, error) {
-			return solver.Solve(ctx, sc.inner)
-		})
-	} else {
-		inner, err = solver.Solve(ctx, sc.inner)
+		pl.Cache = p.cfg.cache.inner
 	}
+	res, err := pl.Plan(ctx, pipeline.Request{
+		Scenario:  sc.inner,
+		Algorithm: string(p.cfg.alg),
+		Params:    params,
+		Solver:    solver,
+		Deadline:  p.cfg.deadline,
+	})
 	if err != nil {
 		return nil, err
 	}
-	plan := &Plan{inner: inner, scen: sc.inner}
+	plan := &Plan{inner: res.Plan, scen: sc.inner, degradation: p.degradation(res.Chain)}
 	if p.cfg.schedule {
-		stages, err := buildStages(sc.inner, inner, p.cfg.stageBudget)
+		stages, err := buildStages(sc.inner, res.Plan, p.cfg.stageBudget)
 		if err != nil {
 			return nil, err
 		}
@@ -372,95 +367,18 @@ func (p *Planner) Plan(ctx context.Context, sc *Scenario) (*Plan, error) {
 	return plan, nil
 }
 
-// planDegraded runs the WithDeadline fallback chain: the configured solver
-// under the bulk of the budget, then fast ISP, then (with a cache) a stale
-// cached plan. It mirrors the serving daemon's chain without its admission
-// control — a library caller owns its own concurrency.
-func (p *Planner) planDegraded(ctx context.Context, sc *Scenario, params heuristics.Params, solver heuristics.Solver) (*Plan, error) {
-	primaryKey := plancache.Key{
-		Fingerprint: sc.inner.Fingerprint(),
-		Algorithm:   string(p.cfg.alg),
-		Options:     plancache.ParamsDigest(params),
-	}
-	solveStage := func(stageCtx context.Context, stageSolver heuristics.Solver, key plancache.Key) (*scenario.Plan, error) {
-		if p.cfg.cache == nil {
-			return stageSolver.Solve(stageCtx, sc.inner)
-		}
-		plan, _, _, err := p.cfg.cache.inner.Do(stageCtx, key, func(c context.Context) (*scenario.Plan, error) {
-			return stageSolver.Solve(c, sc.inner)
-		})
-		var unavailable *plancache.UnavailableError
-		if errors.As(err, &unavailable) {
-			return stageSolver.Solve(stageCtx, sc.inner)
-		}
-		return plan, err
-	}
-
-	stages := []degrade.Stage{{
-		Name:  "primary",
-		Level: degrade.LevelNone,
-		Retry: true,
-		Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-			return solveStage(stageCtx, solver, primaryKey)
-		},
-	}}
-	// Fast ISP is the fallback unless it is already the primary.
-	fallbackParams := heuristics.Params{Fast: true, OPTWorkers: params.OPTWorkers}
-	haveFallback := !(p.cfg.alg == ISP && p.cfg.fast)
-	var fallbackKey plancache.Key
-	if haveFallback {
-		stages[0].Fraction = 0.6
-		fallbackSolver, err := heuristics.New(string(ISP), fallbackParams)
-		if err != nil {
-			return nil, err
-		}
-		fallbackKey = plancache.Key{
-			Fingerprint: sc.inner.Fingerprint(),
-			Algorithm:   string(ISP),
-			Options:     plancache.ParamsDigest(fallbackParams),
-		}
-		stages = append(stages, degrade.Stage{
-			Name:  "fallback_isp",
-			Level: degrade.LevelFallback,
-			Retry: true,
-			Run: func(stageCtx context.Context) (*scenario.Plan, error) {
-				return solveStage(stageCtx, fallbackSolver, fallbackKey)
-			},
-		})
-	}
-	stages = append(stages, degrade.Stage{
-		Name:  "stale_cache",
-		Level: degrade.LevelStale,
-		Free:  true,
-		Skip: func() string {
-			if p.cfg.cache == nil {
-				return "no cache configured"
-			}
-			return ""
-		},
-		Run: func(context.Context) (*scenario.Plan, error) {
-			if plan, _, _, ok := p.cfg.cache.inner.GetStale(primaryKey); ok {
-				return plan, nil
-			}
-			if haveFallback {
-				if plan, _, _, ok := p.cfg.cache.inner.GetStale(fallbackKey); ok {
-					return plan, nil
-				}
-			}
-			return nil, nil
-		},
-	})
-
-	res, err := degrade.Execute(ctx, stages, degrade.Options{Deadline: p.cfg.deadline})
-	if err != nil {
-		return nil, err
+// degradation converts the WithDeadline chain's record into the public
+// annotation (nil when no chain ran).
+func (p *Planner) degradation(chain *degrade.Result) *Degradation {
+	if chain == nil {
+		return nil
 	}
 	deg := &Degradation{
-		Level:    res.Level.String(),
-		ServedBy: res.ServedBy,
+		Level:    chain.Level.String(),
+		ServedBy: chain.ServedBy,
 		Deadline: p.cfg.deadline,
 	}
-	for _, st := range res.Stages {
+	for _, st := range chain.Stages {
 		ds := DegradationStage{
 			Stage:    st.Name,
 			Outcome:  st.Outcome,
@@ -472,15 +390,7 @@ func (p *Planner) planDegraded(ctx context.Context, sc *Scenario, params heurist
 		}
 		deg.Stages = append(deg.Stages, ds)
 	}
-	plan := &Plan{inner: res.Plan, scen: sc.inner, degradation: deg}
-	if p.cfg.schedule {
-		stages, err := buildStages(sc.inner, res.Plan, p.cfg.stageBudget)
-		if err != nil {
-			return nil, err
-		}
-		plan.stages = stages
-	}
-	return plan, nil
+	return deg
 }
 
 // SolverInfo describes a registered recovery algorithm.
